@@ -136,15 +136,13 @@ pub fn score_run(report: &RunReport, from: SimTime, until: SimTime, tolerance: f
 }
 
 /// Audit a report's accounting invariants: the fault-stats partition
-/// (`lost_in_service ≤ resent`, `undelivered ≤ resent + parked`) and
-/// per-job conservation (`served ≤ released`). A healthy run — faulty or
-/// not — always passes; a `false` here means the RPC bookkeeping itself
-/// leaked and outranks any recovery-time finding.
+/// (`FaultStats::partition_holds`: `lost_in_service ≤ resent`,
+/// `undelivered ≤ resent + parked`) and per-job conservation
+/// (`served ≤ released`). A healthy run — faulty or not — always passes;
+/// a `false` here means the RPC bookkeeping itself leaked and outranks
+/// any recovery-time finding.
 pub fn conservation_ok(report: &RunReport) -> bool {
-    let fs = &report.fault_stats;
-    fs.lost_in_service <= fs.resent
-        && fs.undelivered <= fs.resent + fs.parked
-        && report.per_job.values().all(|o| o.served <= o.released)
+    report.fault_stats.partition_holds() && report.per_job.values().all(|o| o.served <= o.released)
 }
 
 /// Campaign-level aggregate over many scored runs: the worst numbers a

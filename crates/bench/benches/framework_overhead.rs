@@ -9,8 +9,8 @@
 use adaptbf_model::config::paper;
 use adaptbf_model::{JobId, SimDuration, SimTime, TbfSchedulerConfig};
 use adaptbf_node::OstNode;
-use adaptbf_sim::controller_driver::ControllerDriver;
 use adaptbf_sim::ost::OstState;
+use adaptbf_sim::ControllerDriver;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_cycle(c: &mut Criterion) {

@@ -3,8 +3,11 @@
 //! The **engine-agnostic node layer**: everything an OSS/OST needs to run
 //! AdapTBF — the cluster [`Policy`], the per-OST control-plane assembly
 //! ([`OstNode`]: NRS/TBF scheduler + `job_stats` + Rule Management Daemon +
-//! `AllocationController`), the slot-indexed [`Metrics`] collector and the
-//! common [`RunReport`] every executor emits.
+//! `AllocationController`) with the steps every executor runs on it
+//! (admission, the fault-aware control cycle, crash and recovery),
+//! crash-window [`Routing`], the slot-indexed [`Metrics`] collector and
+//! the common [`RunReport`] every executor emits. Executors supply only
+//! time and transport.
 //!
 //! Two executors consume this crate and nothing in it knows which one is
 //! calling:
@@ -28,9 +31,11 @@ pub mod metrics;
 pub mod node;
 pub mod policy;
 pub mod report;
+pub mod route;
 
 pub use control::{ControllerDriver, ControllerOverhead};
 pub use metrics::Metrics;
 pub use node::{install_static_rules, OstNode};
 pub use policy::Policy;
 pub use report::{FaultStats, JobOutcome, RunReport};
+pub use route::{Route, Routing};

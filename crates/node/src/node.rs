@@ -10,10 +10,13 @@
 //! another node's state.
 
 use crate::control::{ControllerDriver, ControllerOverhead};
+use crate::metrics::Metrics;
 use crate::policy::Policy;
-use adaptbf_core::{AllocationController, AllocationOutcome};
+use crate::report::FaultStats;
+use adaptbf_core::AllocationController;
 use adaptbf_model::{JobId, Rpc, SimTime, TbfSchedulerConfig};
 use adaptbf_tbf::{JobStatsTracker, NrsTbfScheduler, RpcMatcher};
+use adaptbf_workload::FaultPlan;
 use std::collections::BTreeMap;
 
 /// One OST's complete control plane: scheduler + `job_stats` + (under
@@ -34,6 +37,9 @@ pub struct OstNode {
     jobs: Vec<(JobId, u64)>,
     /// `T_i` the Static BW baseline's fixed rule rates sum to.
     static_rate_total: f64,
+    /// Control cycles attempted, stalled and crashed ones included: the
+    /// index `controller_stall` and `stats_loss_every` key off.
+    cycle: u64,
 }
 
 impl OstNode {
@@ -70,6 +76,7 @@ impl OstNode {
             policy,
             jobs: jobs.to_vec(),
             static_rate_total,
+            cycle: 0,
         }
     }
 
@@ -91,12 +98,60 @@ impl OstNode {
         self.policy
     }
 
-    /// One control cycle at `now`: collect stats, allocate, apply rules,
-    /// clear stats. Returns `None` under the baselines (which have no
-    /// controller to run).
-    pub fn tick(&mut self, now: SimTime) -> Option<AllocationOutcome> {
-        let driver = self.driver.as_mut()?;
-        Some(driver.tick(&mut self.scheduler, &mut self.job_stats, now))
+    /// Admit an RPC that reached this OST: count it in `job_stats` and
+    /// queue it in the scheduler.
+    #[inline]
+    pub fn admit(&mut self, rpc: Rpc, now: SimTime) {
+        self.job_stats.record_arrival(rpc.job);
+        self.scheduler.enqueue(rpc, now);
+    }
+
+    /// One fault-aware control cycle at `now`, the step both executors
+    /// run once per period:
+    ///
+    /// 1. the cycle counter advances, whatever happens next;
+    /// 2. a crashed OSS (`crashed`) takes its controller down with it,
+    ///    and a stalled daemon ([`FaultPlan::cycle_stalled`]) skips the
+    ///    cycle while stats keep accumulating;
+    /// 3. a failed stats read ([`FaultPlan::stats_lost`]) clears
+    ///    `job_stats`, so the controller sees an empty active set;
+    /// 4. the controller ticks — collect stats, allocate, apply rules,
+    ///    clear stats (paper Fig. 2) — and its allocation trace lands in
+    ///    `metrics`: allocation and record gauges per allocated job, and
+    ///    the record gauge of every idle job whose record persists.
+    ///
+    /// Returns whether the controller ran — rates may have changed, so
+    /// the executor should dispatch again. Always `false` under the
+    /// baselines.
+    pub fn control_cycle(
+        &mut self,
+        now: SimTime,
+        faults: &FaultPlan,
+        crashed: bool,
+        metrics: &mut Metrics,
+    ) -> bool {
+        let cycle = self.cycle;
+        self.cycle += 1;
+        if crashed || faults.cycle_stalled(cycle) {
+            return false;
+        }
+        if faults.stats_lost(cycle) {
+            self.job_stats.clear();
+        }
+        let Some(driver) = self.driver.as_mut() else {
+            return false;
+        };
+        let outcome = driver.tick(&mut self.scheduler, &mut self.job_stats, now);
+        for jt in &outcome.trace.jobs {
+            metrics.on_allocation(jt.job, now, jt.record_after, jt.after_recompensation);
+        }
+        // Records of idle jobs persist; keep their gauge lines continuous.
+        for (job, entry) in driver.controller.ledger().iter() {
+            if outcome.trace.job(job).is_none() {
+                metrics.set_record(job, now, entry.record as f64);
+            }
+        }
+        true
     }
 
     /// The allocation controller, if this node runs one.
@@ -125,17 +180,27 @@ impl OstNode {
     /// token buckets, queues — is replaced with a factory-fresh one,
     /// `job_stats` is wiped, and the rule daemon forgets its rule ids (the
     /// lending ledger deliberately survives — see
-    /// [`ControllerDriver::on_ost_crash`]). The drained backlog (ruled
-    /// queues in job order, then fallback) is returned so the embedder can
-    /// model client resends.
-    pub fn crash_reset(&mut self) -> Vec<Rpc> {
-        let lost = self.scheduler.drain_pending();
+    /// [`ControllerDriver::on_ost_crash`]).
+    ///
+    /// Returns every RPC the crash displaced, in the order clients resend
+    /// them: first `in_service` — the RPCs the dying I/O threads held,
+    /// counted `lost_in_service` — then the drained backlog, counted
+    /// `resent`, each part in RPC id order (per-process issue order,
+    /// processes ascending) whatever order the dead OST held them in.
+    /// When the resends fire is the executor's business.
+    pub fn crash(&mut self, mut in_service: Vec<Rpc>, stats: &mut FaultStats) -> Vec<Rpc> {
+        let mut backlog = self.scheduler.drain_pending();
         self.scheduler = NrsTbfScheduler::new(self.tbf);
         self.job_stats.clear();
         if let Some(driver) = self.driver.as_mut() {
             driver.on_ost_crash();
         }
-        lost
+        in_service.sort_unstable_by_key(|r| r.id.raw());
+        backlog.sort_unstable_by_key(|r| r.id.raw());
+        stats.count_lost_in_service(in_service.len() as u64);
+        stats.resent += backlog.len() as u64;
+        in_service.append(&mut backlog);
+        in_service
     }
 
     /// The OST rejoins after a crash with empty bucket state. AdapTBF
@@ -228,11 +293,14 @@ mod tests {
             SimTime::ZERO,
         );
         for i in 0..50 {
-            node.job_stats.record_arrival(JobId(2));
-            node.scheduler.enqueue(rpc(2, i), SimTime::ZERO);
+            node.admit(rpc(2, i), SimTime::ZERO);
         }
-        let out = node.tick(SimTime::from_millis(100)).expect("controller");
-        assert_eq!(out.allocations.len(), 1);
+        let mut m = metrics();
+        assert!(node.control_cycle(SimTime::from_millis(100), &FaultPlan::none(), false, &mut m));
+        assert!(m
+            .allocations()
+            .get(JobId(2))
+            .is_some_and(|s| s.get(1) > 0.0));
         assert_eq!(node.scheduler.rules().len(), 1);
         assert_eq!(node.ticks(), 1);
         assert!(node.ledger_records().contains_key(&JobId(2)));
@@ -247,7 +315,9 @@ mod tests {
             1000.0,
             SimTime::ZERO,
         );
-        assert!(node.tick(SimTime::from_millis(100)).is_none());
+        let mut m = metrics();
+        assert!(!node.control_cycle(SimTime::from_millis(100), &FaultPlan::none(), false, &mut m));
+        assert_eq!(node.ticks(), 0);
     }
 
     #[test]
@@ -259,11 +329,15 @@ mod tests {
             1000.0,
             SimTime::ZERO,
         );
-        for i in 0..4 {
+        for i in [3, 0, 2, 1] {
             node.scheduler.enqueue(rpc(1, i), SimTime::ZERO);
         }
-        let lost = node.crash_reset();
-        assert_eq!(lost.len(), 4, "whole backlog drained");
+        let mut stats = FaultStats::default();
+        let lost = node.crash(vec![rpc(1, 9), rpc(1, 8)], &mut stats);
+        assert_eq!(lost.len(), 6, "whole backlog drained after the in-service");
+        assert_eq!((stats.resent, stats.lost_in_service), (6, 2));
+        let ids: Vec<u64> = lost.iter().map(|r| r.id.raw()).collect();
+        assert_eq!(ids, [8, 9, 0, 1, 2, 3], "resends go out in id order");
         assert_eq!(node.scheduler.rules().len(), 0, "rules gone with the OST");
         assert_eq!(node.job_stats.period_total(), 0, "stats wiped");
         node.recover(SimTime::from_secs(1));
@@ -279,20 +353,110 @@ mod tests {
             paper::MAX_TOKEN_RATE,
             SimTime::ZERO,
         );
-        node.job_stats.record_arrival(JobId(1));
-        node.scheduler.enqueue(rpc(1, 0), SimTime::ZERO);
-        node.tick(SimTime::from_millis(100));
+        let none = FaultPlan::none();
+        let mut m = metrics();
+        node.admit(rpc(1, 0), SimTime::ZERO);
+        node.control_cycle(SimTime::from_millis(100), &none, false, &mut m);
         let ledger_before = node.ledger_records();
-        node.crash_reset();
+        node.crash(Vec::new(), &mut FaultStats::default());
         assert_eq!(node.ledger_records(), ledger_before, "ledger survives");
         node.recover(SimTime::from_millis(200));
         assert_eq!(node.scheduler.rules().len(), 0, "AdapTBF waits for a tick");
         // The next cycle recreates rules against the fresh scheduler
         // without panicking on stale rule ids.
-        node.job_stats.record_arrival(JobId(1));
-        node.scheduler.enqueue(rpc(1, 1), SimTime::from_millis(250));
-        node.tick(SimTime::from_millis(300)).expect("controller");
+        node.admit(rpc(1, 1), SimTime::from_millis(250));
+        assert!(node.control_cycle(SimTime::from_millis(300), &none, false, &mut m));
         assert_eq!(node.scheduler.rules().len(), 1);
+    }
+
+    fn adaptbf_node() -> OstNode {
+        OstNode::new(
+            Policy::adaptbf_default(),
+            TbfSchedulerConfig::default(),
+            &jobs(),
+            paper::MAX_TOKEN_RATE,
+            SimTime::ZERO,
+        )
+    }
+
+    fn metrics() -> Metrics {
+        Metrics::new(adaptbf_model::SimDuration::from_millis(100))
+    }
+
+    #[test]
+    fn stalled_cycle_advances_the_counter_without_a_tick() {
+        let faults = FaultPlan {
+            controller_stall: Some(adaptbf_workload::StallSpec {
+                every: 3,
+                duration: 1,
+            }),
+            ..FaultPlan::none()
+        };
+        let mut node = adaptbf_node();
+        let mut m = metrics();
+        let ran: Vec<bool> = (1..=6)
+            .map(|c| {
+                node.admit(rpc(1, c), SimTime::ZERO);
+                node.control_cycle(SimTime::from_millis(100 * c), &faults, false, &mut m)
+            })
+            .collect();
+        assert_eq!(ran, [true, true, false, true, true, false]);
+        assert_eq!(node.cycle, 6, "stalled cycles count too");
+        assert_eq!(node.ticks(), 4, "stalled cycles never tick");
+        assert!(
+            node.job_stats.period_total() > 0,
+            "a stall leaves the period's stats for the next healthy cycle"
+        );
+    }
+
+    #[test]
+    fn stats_loss_clears_job_stats_then_ticks() {
+        let faults = FaultPlan {
+            stats_loss_every: Some(1),
+            ..FaultPlan::none()
+        };
+        let mut node = adaptbf_node();
+        let mut m = metrics();
+        node.admit(rpc(1, 0), SimTime::ZERO);
+        assert!(node.control_cycle(SimTime::from_millis(100), &faults, false, &mut m));
+        assert_eq!(node.ticks(), 1, "the controller still runs");
+        assert_eq!(node.scheduler.rules().len(), 0, "…on an empty active set");
+        assert!(m.allocations().get(JobId(1)).is_none(), "nothing allocated");
+    }
+
+    #[test]
+    fn crashed_node_skips_the_cycle() {
+        let mut node = adaptbf_node();
+        let mut m = metrics();
+        node.admit(rpc(1, 0), SimTime::ZERO);
+        assert!(!node.control_cycle(SimTime::from_millis(100), &FaultPlan::none(), true, &mut m));
+        assert_eq!((node.cycle, node.ticks()), (1, 0));
+        assert_eq!(node.job_stats.period_total(), 1, "stats untouched");
+    }
+
+    #[test]
+    fn healthy_cycle_folds_the_trace_into_metrics() {
+        let mut node = adaptbf_node();
+        let mut m = metrics();
+        // Job 1 is starved of priority but busy; job 2 barely uses its
+        // share and lends the surplus.
+        for i in 0..400 {
+            node.admit(rpc(1, i), SimTime::ZERO);
+        }
+        node.admit(rpc(2, 400), SimTime::ZERO);
+        let none = FaultPlan::none();
+        assert!(node.control_cycle(SimTime::from_millis(100), &none, false, &mut m));
+        let lent = node.ledger_records()[&JobId(2)];
+        assert!(lent > 0, "job 2 lends: record {lent}");
+        // Job 2 goes idle: it gets no allocation, but its ledger record
+        // keeps its gauge line continuous.
+        node.admit(rpc(1, 401), SimTime::from_millis(150));
+        assert!(node.control_cycle(SimTime::from_millis(200), &none, false, &mut m));
+        let alloc = m.allocations();
+        assert!(alloc.get(JobId(1)).is_some_and(|s| s.get(2) > 0.0));
+        assert!(alloc.get(JobId(2)).is_some_and(|s| s.get(2) == 0.0));
+        let idle = m.records().get(JobId(2)).map_or(0.0, |s| s.get(2));
+        assert_eq!(idle, lent as f64, "idle job's record gauged");
     }
 
     #[test]

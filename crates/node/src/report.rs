@@ -45,6 +45,35 @@ pub struct FaultStats {
     pub undelivered: u64,
 }
 
+impl FaultStats {
+    /// Count `n` RPCs that died on an I/O thread with their OST: each is
+    /// lost in service *and* resent by its client.
+    pub fn count_lost_in_service(&mut self, n: u64) {
+        self.lost_in_service += n;
+        self.resent += n;
+    }
+
+    /// Fold another shard's or OST thread's counters into this one. Each
+    /// displaced RPC is counted by exactly one of them, so the fold is a
+    /// plain sum.
+    pub fn absorb(&mut self, other: &FaultStats) {
+        self.resent += other.resent;
+        self.lost_in_service += other.lost_in_service;
+        self.rerouted += other.rerouted;
+        self.parked += other.parked;
+        self.undelivered += other.undelivered;
+    }
+
+    /// Whether the partition balances: RPCs lost in service are a subset
+    /// of the resends, and undelivered RPCs a subset of the resends and
+    /// parked arrivals. Only meaningful on a run's folded total — a
+    /// resend is counted where its OST crashed but can be tallied
+    /// undelivered wherever it was queued when the horizon fell.
+    pub fn partition_holds(&self) -> bool {
+        self.lost_in_service <= self.resent && self.undelivered <= self.resent + self.parked
+    }
+}
+
 /// Per-job outcome of one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {

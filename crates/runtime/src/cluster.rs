@@ -356,11 +356,7 @@ impl LiveCluster {
         let mut served_per_ost = Vec::with_capacity(finals.len());
         let mut overheads = Vec::new();
         for f in finals {
-            fault_stats.resent += f.fault_stats.resent;
-            fault_stats.lost_in_service += f.fault_stats.lost_in_service;
-            fault_stats.rerouted += f.fault_stats.rerouted;
-            fault_stats.parked += f.fault_stats.parked;
-            fault_stats.undelivered += f.fault_stats.undelivered;
+            fault_stats.absorb(&f.fault_stats);
             records_per_ost.push(f.records);
             ticks_per_ost.push(f.ticks);
             served_per_ost.push(f.served);
@@ -369,6 +365,11 @@ impl LiveCluster {
             }
             shards.push(f.shard);
         }
+
+        debug_assert!(
+            fault_stats.partition_holds(),
+            "fault accounting leaked: {fault_stats:?}"
+        );
 
         // The join-time fold: per-OST shards into the one collector the
         // common report shape expects, plus the recorder's arrivals.

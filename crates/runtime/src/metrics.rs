@@ -216,15 +216,10 @@ impl OstShard {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record the controller's view of one job after a tick.
-    pub fn on_allocation(&mut self, job: JobId, now: SimTime, record: i64, tokens: u64) {
-        self.metrics.on_allocation(job, now, record, tokens);
-    }
-
-    /// Record only the lending/borrowing gauge (idle jobs whose records
-    /// persist between allocations).
-    pub fn set_record(&mut self, job: JobId, now: SimTime, record: f64) {
-        self.metrics.set_record(job, now, record);
+    /// The shard's collector, for the node's control cycle to fold its
+    /// allocation trace into.
+    pub(crate) fn metrics_mut(&mut self) -> &mut Metrics {
+        &mut self.metrics
     }
 
     /// Count one controller cycle.

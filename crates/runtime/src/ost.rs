@@ -19,25 +19,28 @@
 //! emulated disk never idles on scheduler wake-up lag and sub-millisecond
 //! service quanta sustain full rate without busy-spinning.
 //!
-//! The full `FaultPlan` battery runs here. Time-indexed faults
-//! (`disk_degrade`, `ost_crash` windows, churn) key off the wall clock;
-//! cycle-indexed faults (`controller_stall`, `stats_loss_every`) key off a
-//! per-OST deterministic cycle counter, exactly like the simulator's
-//! `cycles[l]`. A crash window drives [`OstNode::crash_reset`] /
-//! [`OstNode::recover`] and the same audited `FaultStats` partition the
-//! sim guarantees: in-flight RPCs die with the I/O threads
-//! (`lost_in_service`, resent after the client timeout), the queued
-//! backlog drains to resends, and first-hand arrivals re-route ring-order
-//! to a surviving stripe member (`rerouted`) or park until recovery
+//! The full `FaultPlan` battery runs here, through the node steps the
+//! simulator drives too. Time-indexed faults (`disk_degrade`, `ost_crash`
+//! windows, churn) key off the wall clock; cycle-indexed faults
+//! (`controller_stall`, `stats_loss_every`) key off the node's own cycle
+//! counter in [`OstNode::control_cycle`]. Arrivals and resends route
+//! through the shared [`Routing`], and a crash window drives
+//! [`OstNode::crash`] / [`OstNode::recover`] with the same audited
+//! `FaultStats` partition the sim keeps: in-flight RPCs die with the I/O
+//! threads (`lost_in_service`, resent after the client timeout), the
+//! queued backlog drains to resends, and first-hand arrivals re-route to
+//! a surviving stripe member (`rerouted`) or park until recovery
 //! (`parked`). Redeliveries the horizon cuts off count `undelivered`.
+//! What stays here is time and transport: the emulated I/O pool, the
+//! wall-clock deadlines and the channels a handoff travels on.
 
 use crate::clock::WallClock;
 use crate::metrics::OstShard;
 use adaptbf_model::{OstConfig, Rpc, SimDuration, SimTime};
-use adaptbf_node::{ControllerOverhead, FaultStats, OstNode};
+use adaptbf_node::{ControllerOverhead, FaultStats, OstNode, Route, Routing};
 use adaptbf_tbf::SchedDecision;
 use adaptbf_workload::trace::TraceRecord;
-use adaptbf_workload::FaultPlan;
+use adaptbf_workload::{CrashSpec, FaultPlan};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use rand::rngs::SmallRng;
@@ -152,9 +155,8 @@ impl LiveOst {
         let join = std::thread::Builder::new()
             .name(name)
             .spawn(move || {
-                run_ost(
-                    rx, ost_cfg, node, faults, wiring, peers, horizon, clock, shard, seed, payload,
-                )
+                OstThread::new(node, shard, ost_cfg, faults, wiring, peers, seed, payload)
+                    .run(rx, horizon, clock)
             })
             .expect("spawn OST thread");
         LiveOstHandle {
@@ -200,531 +202,420 @@ struct Resend {
 /// Floor on idle waits: with sub-millisecond service quanta the next
 /// emulated finish is almost always "now", and honoring it with a
 /// microsecond sleep would spin the core. The finish-instant catch-up
-/// dispatch in [`drain_due`] makes a late wake harmless — the emulated
-/// timeline is reconstructed exactly — so the loop never sleeps for less
-/// than this.
+/// dispatch in [`OstThread::drain_due`] makes a late wake harmless — the
+/// emulated timeline is reconstructed exactly — so the loop never sleeps
+/// for less than this.
 const MIN_WAIT: Duration = Duration::from_micros(200);
 
-/// Whether `ost` is inside its crash window at `at` — the same pure
-/// function of the fault plan the simulator routes by, so the crashed OST
-/// and its peers agree with no shared flag.
-#[inline]
-fn crashed_at(faults: &FaultPlan, ost: usize, at: SimTime) -> bool {
-    match faults.ost_crash {
-        Some(c) => c.ost == ost && at >= c.from && at < c.recovery_at(),
-        None => false,
-    }
-}
-
-/// The surviving OST that takes over a displaced RPC: the next non-crashed
-/// member of the issuing process's *stripe set*, in stripe order after
-/// `ost`, falling back to plain ring order when the RPC is addressed
-/// outside its derivable stripe set. Identical to the simulator's routing,
-/// so a live faulty recording replays through the same survivors.
-fn surviving_ost(
-    faults: &FaultPlan,
-    wiring: OstWiring,
-    ost: usize,
-    rpc: &Rpc,
-    at: SimTime,
-) -> Option<usize> {
-    let n = wiring.n_osts;
-    let width = wiring.stripe_count;
-    let base = rpc.proc_id.raw() as usize % n;
-    let offset = (ost + n - base) % n;
-    let alive = |candidate: &usize| !crashed_at(faults, *candidate, at);
-    if offset < width {
-        (1..width)
-            .map(|k| (base + (offset + k) % width) % n)
-            .find(alive)
-    } else {
-        (1..n).map(|k| (ost + k) % n).find(alive)
-    }
-}
-
-/// Emulated service time for one RPC dispatched at `at`: the configured
-/// mean, stretched by any active device-degradation window, jittered.
-#[inline]
-fn service_time(
-    ost_cfg: &OstConfig,
-    faults: &FaultPlan,
-    rng: &mut SmallRng,
-    at: SimTime,
-) -> SimDuration {
-    let mean = ost_cfg.mean_service_secs() * faults.disk_factor(at);
-    let j = ost_cfg.service_jitter;
-    let factor = if j > 0.0 {
-        1.0 + rng.gen_range(-j..=j)
-    } else {
-        1.0
-    };
-    SimDuration::from_secs_f64(mean * factor)
-}
-
-/// Drain every emulated service due by `cutoff`, recording each at its
-/// **finish instant** (not the loop's wake time — the wall-clock
-/// accounting bug this replaces silently absorbed scheduler wake-up lag
-/// into latency), and catch-up dispatch the freed I/O slot at that same
-/// instant. The chain — finish, serve, dispatch, finish… — reconstructs
-/// the emulated disk's timeline exactly however late the thread wakes,
-/// which is what lets sub-millisecond quanta run at full rate on coarse
-/// wakes. Returns the number served; completions accumulate as counted
-/// tokens in `done`.
-#[allow(clippy::too_many_arguments)]
-fn drain_due(
-    busy: &mut BinaryHeap<Reverse<InService>>,
-    cutoff: SimTime,
-    node: &mut OstNode,
-    ost_cfg: &OstConfig,
-    faults: &FaultPlan,
-    my: usize,
-    rng: &mut SmallRng,
-    seq: &mut u64,
-    shard: &mut OstShard,
-    done: &mut HashMap<u32, u64>,
-) -> u64 {
-    let mut served = 0u64;
-    while busy.peek().is_some_and(|Reverse(s)| s.finish <= cutoff) {
-        let Reverse(s) = busy.pop().expect("peeked");
-        served += 1;
-        shard.on_served(s.rpc.job, s.finish, s.rpc.issued_at);
-        *done.entry(s.rpc.proc_id.raw()).or_insert(0) += 1;
-        // The slot freed at `finish` would have picked up queued work at
-        // that instant; the token bucket treats past instants as no-op
-        // refills, so this replays the dispatch the emulated disk would
-        // have made. Never inside a crash window — the pool is down.
-        if !crashed_at(faults, my, s.finish) {
-            if let SchedDecision::Serve(rpc) = node.scheduler.next(s.finish) {
-                let service = service_time(ost_cfg, faults, rng, s.finish);
-                busy.push(Reverse(InService {
-                    finish: s.finish + service,
-                    seq: *seq,
-                    rpc,
-                }));
-                *seq += 1;
-            }
-        }
-    }
-    served
-}
-
-/// Send the accumulated completion counts, one token per process. A gone
-/// issuer (horizon race) is fine — the token is simply dropped.
-fn flush_done(reply: &HashMap<u32, Sender<u64>>, done: &mut HashMap<u32, u64>) {
-    if done.is_empty() {
-        return;
-    }
-    for (proc, n) in done.drain() {
-        if let Some(tx) = reply.get(&proc) {
-            let _ = tx.send(n);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_ost(
-    rx: Receiver<LiveBatch>,
+/// Everything one OST thread owns: the shared [`OstNode`] plus this
+/// executor's time and transport — the emulated I/O pool, the client
+/// reply paths, the displaced RPCs waiting on the wall clock, and the
+/// peer links a crash window hands work over.
+struct OstThread {
+    node: OstNode,
+    shard: OstShard,
     ost_cfg: OstConfig,
-    mut node: OstNode,
     faults: FaultPlan,
-    wiring: OstWiring,
+    routing: Routing,
+    my: usize,
+    /// Services on the emulated I/O threads, earliest finish first.
+    busy: BinaryHeap<Reverse<InService>>,
+    seq: u64,
+    rng: SmallRng,
+    /// Senders to the other OSTs (see [`LiveOst::spawn`]).
     peers: Vec<Option<Sender<LiveBatch>>>,
-    horizon: SimTime,
-    clock: WallClock,
-    mut shard: OstShard,
-    seed: u64,
     payload: Bytes,
-) -> OstFinal {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut busy: BinaryHeap<Reverse<InService>> = BinaryHeap::new();
-    // Completion path per client process: the process's reply sender
-    // (learned from its first batch) and the counted tokens accumulated
-    // since the last flush.
-    let mut reply: HashMap<u32, Sender<u64>> = HashMap::new();
-    let mut done: HashMap<u32, u64> = HashMap::new();
-    let mut seq = 0u64;
-    let mut served = 0u64;
-    let mut fault_stats = FaultStats::default();
+    /// Completion path per client process: its reply sender, learned
+    /// from its first batch…
+    reply: HashMap<u32, Sender<u64>>,
+    /// …and the counted tokens accumulated since the last flush.
+    done: HashMap<u32, u64>,
+    /// Displaced RPCs waiting for their resend deadline.
+    resends: Vec<Resend>,
+    /// First-hand arrivals with no surviving stripe member, waiting for
+    /// recovery.
+    parked: Vec<Rpc>,
+    served: u64,
+    fault_stats: FaultStats,
+}
 
-    let my = wiring.index;
-    let crash = faults.ost_crash.filter(|c| c.ost == my);
-    let mut crash_done = false;
-    let mut recover_done = false;
-    // Displaced RPCs waiting for their resend deadline, and first-hand
-    // arrivals parked until recovery (no surviving stripe member).
-    let mut resends: Vec<Resend> = Vec::new();
-    let mut parked: Vec<Rpc> = Vec::new();
-    // Deterministic control-cycle counter: `controller_stall` and
-    // `stats_loss_every` are indexed by it, identically to the simulator.
-    let mut cycle = 0u64;
-
-    // The controller's tick cadence comes from the node's policy; the
-    // wall-clock deadline is this executor's analogue of the simulator's
-    // ControllerTick event.
-    let period = node.policy().period();
-    let mut next_tick: Option<SimTime> = period.map(|p| clock.now() + p);
-
-    let mut disconnected = false;
-    loop {
-        let now = clock.now();
-
-        // 0. Crash-window transitions. At the crash instant the I/O
-        // threads die and the control plane resets; at recovery the node
-        // rejoins with empty bucket state and parked arrivals land.
-        if let Some(c) = crash {
-            if !crash_done && now >= c.from {
-                crash_done = true;
-                // Services finished strictly before the crash still count
-                // (no catch-up dispatch here: anything the freed slots
-                // would have picked up dies in the backlog instead, which
-                // the crash_reset below turns into resends).
-                while busy.peek().is_some_and(|Reverse(s)| s.finish < c.from) {
-                    let Reverse(s) = busy.pop().expect("peeked");
-                    served += 1;
-                    shard.on_served(s.rpc.job, s.finish, s.rpc.issued_at);
-                    *done.entry(s.rpc.proc_id.raw()).or_insert(0) += 1;
-                }
-                // The timeout anchors at the loss — the crash instant —
-                // like the simulator's; `max(now)` guards a lagging thread.
-                let resend_at = (c.from + c.resend_after).max(now);
-                // In-flight RPCs die with their threads: the client never
-                // sees a reply and resends after its timeout.
-                let mut lost_busy: Vec<InService> = busy.drain().map(|Reverse(s)| s).collect();
-                lost_busy.sort_unstable_by_key(|s| s.rpc.id.raw());
-                for s in lost_busy {
-                    fault_stats.lost_in_service += 1;
-                    fault_stats.resent += 1;
-                    resends.push(Resend {
-                        at: resend_at,
-                        rpc: s.rpc,
-                    });
-                }
-                // The queued backlog drains; clients resend in id order —
-                // per-process issue order — like the simulator.
-                let mut lost = node.crash_reset();
-                lost.sort_unstable_by_key(|r| r.id.raw());
-                for rpc in lost {
-                    fault_stats.resent += 1;
-                    resends.push(Resend { at: resend_at, rpc });
-                }
-            }
-            if crash_done && !recover_done && now >= c.recovery_at() {
-                recover_done = true;
-                node.recover(now);
-                for rpc in parked.drain(..) {
-                    node.job_stats.record_arrival(rpc.job);
-                    node.scheduler.enqueue(rpc, now);
-                }
-            }
+impl OstThread {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        node: OstNode,
+        shard: OstShard,
+        ost_cfg: OstConfig,
+        faults: FaultPlan,
+        wiring: OstWiring,
+        peers: Vec<Option<Sender<LiveBatch>>>,
+        seed: u64,
+        payload: Bytes,
+    ) -> Self {
+        OstThread {
+            node,
+            shard,
+            ost_cfg,
+            faults,
+            routing: Routing::new(&faults, wiring.n_osts, wiring.stripe_count),
+            my: wiring.index,
+            busy: BinaryHeap::new(),
+            seq: 0,
+            rng: SmallRng::seed_from_u64(seed),
+            peers,
+            payload,
+            reply: HashMap::new(),
+            done: HashMap::new(),
+            resends: Vec::new(),
+            parked: Vec::new(),
+            served: 0,
+            fault_stats: FaultStats::default(),
         }
-        let crashed = crashed_at(&faults, my, now);
+    }
 
-        // The horizon cuts the run off exactly like the simulator's: due
-        // completions still count (drained at their finish instants, all
-        // <= horizon), queued and in-flight work is dropped; displaced
-        // RPCs the run ends before redelivering are tallied `undelivered`
-        // after the loop.
-        if now >= horizon {
-            served += drain_due(
-                &mut busy, horizon, &mut node, &ost_cfg, &faults, my, &mut rng, &mut seq,
-                &mut shard, &mut done,
-            );
-            break;
-        }
+    /// Put `rpc` on an emulated I/O thread at `at`: the configured mean
+    /// service time, stretched by any active device-degradation window,
+    /// jittered.
+    fn start_service(&mut self, rpc: Rpc, at: SimTime) {
+        let mean = self.ost_cfg.mean_service_secs() * self.faults.disk_factor(at);
+        let j = self.ost_cfg.service_jitter;
+        let factor = if j > 0.0 {
+            1.0 + self.rng.gen_range(-j..=j)
+        } else {
+            1.0
+        };
+        self.busy.push(Reverse(InService {
+            finish: at + SimDuration::from_secs_f64(mean * factor),
+            seq: self.seq,
+            rpc,
+        }));
+        self.seq += 1;
+    }
 
-        // 1. Redeliver due resends: to a surviving stripe member while the
-        // window is open (parking when none survives), locally otherwise.
-        if resends.iter().any(|r| r.at <= now) {
-            let (due, later): (Vec<_>, Vec<_>) = resends.drain(..).partition(|r| r.at <= now);
-            resends = later;
-            for r in due {
-                if crashed {
-                    match surviving_ost(&faults, wiring, my, &r.rpc, now) {
-                        Some(target) => {
-                            let reply_to = reply
-                                .get(&r.rpc.proc_id.raw())
-                                .expect("every displaced RPC's process has a reply path")
-                                .clone();
-                            let handoff = LiveBatch {
-                                rpcs: vec![r.rpc],
-                                payload: payload.clone(),
-                                reply_to,
-                                handoff: true,
-                            };
-                            let peer = peers[target].as_ref().expect("crashed OST wired to peers");
-                            if peer.send(handoff).is_err() {
-                                // Survivor already shut down (horizon
-                                // race): the redelivery is lost but never
-                                // uncounted.
-                                fault_stats.undelivered += 1;
-                            }
-                        }
-                        None => parked.push(r.rpc),
-                    }
-                } else {
-                    node.job_stats.record_arrival(r.rpc.job);
-                    node.scheduler.enqueue(r.rpc, now);
+    /// Count one completed service at its finish instant.
+    fn complete(&mut self, s: &InService) {
+        self.served += 1;
+        self.shard.on_served(s.rpc.job, s.finish, s.rpc.issued_at);
+        *self.done.entry(s.rpc.proc_id.raw()).or_insert(0) += 1;
+    }
+
+    /// Drain every emulated service due by `cutoff`, recording each at its
+    /// **finish instant** (not the loop's wake time, which would absorb
+    /// scheduler wake-up lag into latency), and catch-up dispatch the
+    /// freed I/O slot at that same instant. The chain — finish, serve,
+    /// dispatch, finish… — reconstructs the emulated disk's timeline
+    /// exactly however late the thread wakes, which is what lets
+    /// sub-millisecond quanta run at full rate on coarse wakes.
+    /// Completions accumulate as counted tokens in `done`.
+    fn drain_due(&mut self, cutoff: SimTime) {
+        while self
+            .busy
+            .peek()
+            .is_some_and(|Reverse(s)| s.finish <= cutoff)
+        {
+            let Reverse(s) = self.busy.pop().expect("peeked");
+            self.complete(&s);
+            // The slot freed at `finish` would have picked up queued work
+            // at that instant; the token bucket treats past instants as
+            // no-op refills, so this replays the dispatch the emulated
+            // disk would have made. Never inside a crash window — the
+            // pool is down.
+            if !self.routing.crashed_at(self.my, s.finish) {
+                if let SchedDecision::Serve(rpc) = self.node.scheduler.next(s.finish) {
+                    self.start_service(rpc, s.finish);
                 }
             }
         }
+    }
 
-        // 2. Complete services that are due — at their emulated finish
-        // instants, chaining catch-up dispatches — then flush the counted
-        // completion tokens (one message per process per pass).
-        served += drain_due(
-            &mut busy, now, &mut node, &ost_cfg, &faults, my, &mut rng, &mut seq, &mut shard,
-            &mut done,
-        );
-        flush_done(&reply, &mut done);
-
-        // 3. Controller cycle (AdapTBF only) — the shared node runs the
-        // exact collect → allocate → apply → clear sequence of the paper's
-        // Figure 2, identically to the simulator. The cycle counter
-        // advances even through skipped cycles, so cycle-indexed faults
-        // hit the same cycle numbers as in the simulator.
-        if let Some(tick_at) = next_tick {
-            if now >= tick_at {
-                let this_cycle = cycle;
-                cycle += 1;
-                // A crashed OSS takes its controller down with it; a
-                // stalled daemon skips the whole cycle while stats keep
-                // accumulating.
-                if !crashed && !faults.cycle_stalled(this_cycle) {
-                    if faults.stats_lost(this_cycle) {
-                        // Failed stats read: the controller sees an empty
-                        // active set and stops every rule until the next
-                        // healthy cycle.
-                        node.job_stats.clear();
-                    }
-                    if let Some(outcome) = node.tick(now) {
-                        for jt in &outcome.trace.jobs {
-                            shard.on_allocation(
-                                jt.job,
-                                now,
-                                jt.record_after,
-                                jt.after_recompensation,
-                            );
-                        }
-                        // Records of idle jobs persist; keep their gauge lines
-                        // continuous (same walk as the simulator's tick).
-                        if let Some(controller) = node.controller() {
-                            for (job, entry) in controller.ledger().iter() {
-                                if outcome.trace.job(job).is_none() {
-                                    shard.set_record(job, now, entry.record as f64);
-                                }
-                            }
-                        }
-                        shard.on_tick();
-                    }
-                }
-                // Schedule from *now*, like the simulator's
-                // schedule_next_tick: if the thread lagged past a whole
-                // period, anchoring on tick_at would fire an immediate
-                // catch-up tick on freshly-cleared stats, which stops
-                // every rule until the next real cycle.
-                next_tick = Some(now + period.expect("tick scheduled implies a period"));
-            }
-        }
-
-        // 4. Dispatch onto idle emulated I/O threads (never inside a
-        // crash window — the pool is down).
-        let mut tbf_wait: Option<SimTime> = None;
-        while !crashed && busy.len() < ost_cfg.n_io_threads {
-            match node.scheduler.next(now) {
-                SchedDecision::Serve(rpc) => {
-                    let service = service_time(&ost_cfg, &faults, &mut rng, now);
-                    busy.push(Reverse(InService {
-                        finish: now + service,
-                        seq,
-                        rpc,
-                    }));
-                    seq += 1;
-                }
-                SchedDecision::WaitUntil(deadline) => {
-                    tbf_wait = Some(deadline);
-                    break;
-                }
+    /// Fill idle emulated I/O threads at `now`; returns the token-bucket
+    /// deadline the scheduler is waiting on, if any.
+    fn dispatch(&mut self, now: SimTime) -> Option<SimTime> {
+        while self.busy.len() < self.ost_cfg.n_io_threads {
+            match self.node.scheduler.next(now) {
+                SchedDecision::Serve(rpc) => self.start_service(rpc, now),
+                SchedDecision::WaitUntil(deadline) => return Some(deadline),
                 SchedDecision::Idle => break,
             }
         }
+        None
+    }
 
-        // 5. Work out how long to sleep (never past the horizon).
-        let mut wake: Option<SimTime> = busy.peek().map(|Reverse(s)| s.finish);
-        let crash_edges = crash.and_then(|c| {
-            if !crash_done {
-                Some(c.from)
-            } else if !recover_done {
-                Some(c.recovery_at())
-            } else {
-                None
-            }
-        });
-        let next_resend = resends.iter().map(|r| r.at).min();
-        for c in [tbf_wait, next_tick, crash_edges, next_resend, Some(horizon)]
-            .into_iter()
-            .flatten()
-        {
-            wake = Some(wake.map_or(c, |w| w.min(c)));
+    /// Send the accumulated completion counts, one token per process. A
+    /// gone issuer (horizon race) is fine — the token is simply dropped.
+    fn flush_done(&mut self) {
+        if self.done.is_empty() {
+            return;
         }
-
-        // 6. Exit when the world has hung up and all work is drained.
-        if disconnected
-            && busy.is_empty()
-            && node.scheduler.pending() == 0
-            && resends.is_empty()
-            && parked.is_empty()
-        {
-            break;
-        }
-
-        // 7. Wait for traffic or the next deadline. Sub-millisecond
-        // deadlines are floored at MIN_WAIT — the finish-instant drain
-        // above reconstructs anything that came due in the meantime.
-        let timeout = match wake {
-            Some(at) => clock.until(at).max(MIN_WAIT),
-            None => {
-                if disconnected {
-                    break;
-                }
-                Duration::from_millis(50)
+        for (proc, n) in self.done.drain() {
+            if let Some(tx) = self.reply.get(&proc) {
+                let _ = tx.send(n);
             }
+        }
+    }
+
+    /// The crash instant: services finished strictly before it still
+    /// count, in-flight RPCs die with their threads, the node drains its
+    /// backlog, and every lost RPC is resent at the client timeout. The
+    /// timeout anchors at the loss — the crash instant — like the
+    /// simulator's; `max(now)` guards a lagging thread.
+    fn crash(&mut self, crash: CrashSpec, now: SimTime) {
+        // No catch-up dispatch here: anything the freed slots would have
+        // picked up dies in the backlog instead.
+        while self
+            .busy
+            .peek()
+            .is_some_and(|Reverse(s)| s.finish < crash.from)
+        {
+            let Reverse(s) = self.busy.pop().expect("peeked");
+            self.complete(&s);
+        }
+        let in_service = self.busy.drain().map(|Reverse(s)| s.rpc).collect();
+        let lost = self.node.crash(in_service, &mut self.fault_stats);
+        let at = (crash.from + crash.resend_after).max(now);
+        self.resends
+            .extend(lost.into_iter().map(|rpc| Resend { at, rpc }));
+    }
+
+    /// Land a displaced RPC on its surviving OST `target`. A survivor
+    /// that already shut down (horizon race) loses the redelivery, but
+    /// never uncounted. Runs only inside a crash window, so it is kept
+    /// out of the ingest loop it is called from.
+    #[cold]
+    fn hand_off(&mut self, target: usize, rpc: Rpc) {
+        let handoff = LiveBatch {
+            rpcs: vec![rpc],
+            payload: self.payload.clone(),
+            reply_to: self.reply[&rpc.proc_id.raw()].clone(),
+            handoff: true,
         };
-        if disconnected {
-            // The channel reports Disconnected instantly; sleep to the
-            // deadline instead of spinning.
-            std::thread::sleep(timeout.min(Duration::from_millis(50)));
-            continue;
+        let peer = self.peers[target]
+            .as_ref()
+            .expect("crashed OST wired to peers");
+        if peer.send(handoff).is_err() {
+            self.fault_stats.undelivered += 1;
         }
-        match rx.recv_timeout(timeout) {
-            Ok(batch) => {
-                let now = clock.now();
-                ingest(
-                    batch,
-                    now,
-                    &mut node,
-                    &mut shard,
-                    &mut reply,
-                    &mut parked,
-                    &mut fault_stats,
-                    &faults,
-                    wiring,
-                    &peers,
-                );
-                // Burst-drain whatever else is already buffered: one wake
-                // amortizes over every queued batch.
-                while let Some(batch) = rx.try_recv() {
-                    ingest(
-                        batch,
-                        now,
-                        &mut node,
-                        &mut shard,
-                        &mut reply,
-                        &mut parked,
-                        &mut fault_stats,
-                        &faults,
-                        wiring,
-                        &peers,
-                    );
-                }
+    }
+
+    /// Redeliver the resends due at `now`: to a surviving stripe member
+    /// while the window is open (parking when none survives), locally
+    /// otherwise.
+    fn redeliver_due(&mut self, now: SimTime) {
+        if !self.resends.iter().any(|r| r.at <= now) {
+            return;
+        }
+        let (due, later) = std::mem::take(&mut self.resends)
+            .into_iter()
+            .partition(|r| r.at <= now);
+        self.resends = later;
+        for Resend { rpc, .. } in due {
+            match self.routing.route(self.my, &rpc, now) {
+                Route::Local => self.node.admit(rpc, now),
+                Route::Reroute(target) => self.hand_off(target, rpc),
+                Route::Park => self.parked.push(rpc),
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => disconnected = true,
         }
     }
-    flush_done(&reply, &mut done);
 
-    // Displaced RPCs whose redelivery the run ended before: unserved but
-    // never uncounted (the simulator's `count_undelivered_remainder`).
-    fault_stats.undelivered += (resends.len() + parked.len()) as u64;
-
-    OstFinal {
-        served,
-        records: node.ledger_records(),
-        ticks: node.ticks(),
-        overhead: node.overhead(),
-        fault_stats,
-        shard: shard.finish(),
-    }
-}
-
-/// Absorb one ingest batch at wall instant `now`: learn the issuing
-/// process's reply path, then enqueue (handoffs) or run the first-hand
-/// arrival path (record, demand, crash re-route/park) per RPC.
-#[allow(clippy::too_many_arguments)]
-fn ingest(
-    batch: LiveBatch,
-    now: SimTime,
-    node: &mut OstNode,
-    shard: &mut OstShard,
-    reply: &mut HashMap<u32, Sender<u64>>,
-    parked: &mut Vec<Rpc>,
-    fault_stats: &mut FaultStats,
-    faults: &FaultPlan,
-    wiring: OstWiring,
-    peers: &[Option<Sender<LiveBatch>>],
-) {
-    debug_assert!(!batch.payload.is_empty());
-    let my = wiring.index;
-    let LiveBatch {
-        rpcs,
-        payload,
-        reply_to,
-        handoff,
-    } = batch;
-    if let Some(first) = rpcs.first() {
-        debug_assert!(
-            rpcs.iter().all(|r| r.proc_id == first.proc_id),
-            "a batch carries one process's RPCs"
-        );
-        reply.entry(first.proc_id.raw()).or_insert(reply_to);
-    }
-    if handoff {
-        // A crash-window handoff from a peer: demand, trace and fault
-        // accounting already happened at the addressed OST.
+    /// Absorb one ingest batch at wall instant `now`: learn the issuing
+    /// process's reply path, then admit (handoffs) or run the first-hand
+    /// arrival path (record, demand, crash re-route/park) per RPC.
+    fn ingest(&mut self, batch: LiveBatch, now: SimTime) {
+        debug_assert!(!batch.payload.is_empty());
+        let LiveBatch {
+            rpcs,
+            reply_to,
+            handoff,
+            ..
+        } = batch;
+        if let Some(first) = rpcs.first() {
+            debug_assert!(
+                rpcs.iter().all(|r| r.proc_id == first.proc_id),
+                "a batch carries one process's RPCs"
+            );
+            self.reply.entry(first.proc_id.raw()).or_insert(reply_to);
+        }
+        if handoff {
+            // A crash-window handoff from a peer: demand, trace and fault
+            // accounting already happened at the addressed OST.
+            for rpc in rpcs {
+                self.node.admit(rpc, now);
+            }
+            return;
+        }
+        let recording = self.shard.is_recording();
         for rpc in rpcs {
-            node.job_stats.record_arrival(rpc.job);
-            node.scheduler.enqueue(rpc, now);
+            // First-hand (client-originated) arrival: recorded with the
+            // *addressed* OST before any crash re-routing, exactly like
+            // the simulator's recorder — replays re-derive the re-route
+            // from the plan.
+            if recording {
+                self.shard.on_record(TraceRecord {
+                    at: now,
+                    ost: self.my,
+                    rpc,
+                });
+            }
+            self.shard.on_arrival(rpc.job, now);
+            match self
+                .routing
+                .route_arrival(self.my, &rpc, now, &mut self.fault_stats)
+            {
+                Route::Local => self.node.admit(rpc, now),
+                Route::Reroute(target) => self.hand_off(target, rpc),
+                Route::Park => self.parked.push(rpc),
+            }
         }
-        return;
     }
-    let crashed = crashed_at(faults, my, now);
-    let recording = shard.is_recording();
-    for rpc in rpcs {
-        // First-hand (client-originated) arrival: recorded with the
-        // *addressed* OST before any crash re-routing, exactly like the
-        // simulator's recorder — replays re-derive the re-route from the
-        // plan.
-        if recording {
-            shard.on_record(TraceRecord {
-                at: now,
-                ost: my,
-                rpc,
-            });
-        }
-        shard.on_arrival(rpc.job, now);
-        if crashed {
-            match surviving_ost(faults, wiring, my, &rpc, now) {
-                Some(target) => {
-                    fault_stats.rerouted += 1;
-                    let handoff = LiveBatch {
-                        rpcs: vec![rpc],
-                        payload: payload.clone(),
-                        reply_to: reply[&rpc.proc_id.raw()].clone(),
-                        handoff: true,
-                    };
-                    let peer = peers[target].as_ref().expect("crashed OST wired to peers");
-                    if peer.send(handoff).is_err() {
-                        fault_stats.undelivered += 1;
+
+    /// The thread's event loop, to the horizon or until the world hangs
+    /// up and all work is drained.
+    fn run(mut self, rx: Receiver<LiveBatch>, horizon: SimTime, clock: WallClock) -> OstFinal {
+        let crash = self.faults.ost_crash.filter(|c| c.ost == self.my);
+        let mut crash_done = false;
+        let mut recover_done = false;
+        // The controller's tick cadence comes from the node's policy; the
+        // wall-clock deadline is this executor's analogue of the
+        // simulator's ControllerTick event.
+        let period = self.node.policy().period();
+        let mut next_tick: Option<SimTime> = period.map(|p| clock.now() + p);
+        let mut disconnected = false;
+        loop {
+            let now = clock.now();
+
+            // 0. Crash-window transitions. At the crash instant the I/O
+            // threads die and the control plane resets; at recovery the
+            // node rejoins with empty bucket state and parked arrivals
+            // land.
+            if let Some(c) = crash {
+                if !crash_done && now >= c.from {
+                    crash_done = true;
+                    self.crash(c, now);
+                }
+                if crash_done && !recover_done && now >= c.recovery_at() {
+                    recover_done = true;
+                    self.node.recover(now);
+                    for rpc in std::mem::take(&mut self.parked) {
+                        self.node.admit(rpc, now);
                     }
                 }
-                None => {
-                    fault_stats.parked += 1;
-                    parked.push(rpc);
+            }
+            let crashed = self.routing.crashed_at(self.my, now);
+
+            // The horizon cuts the run off exactly like the simulator's:
+            // due completions still count (drained at their finish
+            // instants, all <= horizon), queued and in-flight work is
+            // dropped; displaced RPCs the run ends before redelivering are
+            // tallied `undelivered` after the loop.
+            if now >= horizon {
+                self.drain_due(horizon);
+                break;
+            }
+
+            // 1. Redeliver due resends.
+            self.redeliver_due(now);
+
+            // 2. Complete services that are due — at their emulated
+            // finish instants, chaining catch-up dispatches — then flush
+            // the counted completion tokens (one message per process per
+            // pass).
+            self.drain_due(now);
+            self.flush_done();
+
+            // 3. Controller cycle: the shared node step. Schedule the next
+            // from *now*, like the simulator: if the thread lagged past a
+            // whole period, anchoring on the missed deadline would fire an
+            // immediate catch-up tick on freshly cleared stats, which
+            // stops every rule until the next real cycle.
+            if let (Some(tick_at), Some(period)) = (next_tick, period) {
+                if now >= tick_at {
+                    if self
+                        .node
+                        .control_cycle(now, &self.faults, crashed, self.shard.metrics_mut())
+                    {
+                        self.shard.on_tick();
+                    }
+                    next_tick = Some(now + period);
                 }
             }
-        } else {
-            node.job_stats.record_arrival(rpc.job);
-            node.scheduler.enqueue(rpc, now);
+
+            // 4. Dispatch onto idle emulated I/O threads (never inside a
+            // crash window — the pool is down).
+            let tbf_wait = if crashed { None } else { self.dispatch(now) };
+
+            // 5. Work out how long to sleep (never past the horizon).
+            let crash_edge = crash.and_then(|c| {
+                if !crash_done {
+                    Some(c.from)
+                } else if !recover_done {
+                    Some(c.recovery_at())
+                } else {
+                    None
+                }
+            });
+            let wake = [
+                self.busy.peek().map(|Reverse(s)| s.finish),
+                tbf_wait,
+                next_tick,
+                crash_edge,
+                self.resends.iter().map(|r| r.at).min(),
+                Some(horizon),
+            ]
+            .into_iter()
+            .flatten()
+            .min();
+
+            // 6. Exit when the world has hung up and all work is drained.
+            if disconnected
+                && self.busy.is_empty()
+                && self.node.scheduler.pending() == 0
+                && self.resends.is_empty()
+                && self.parked.is_empty()
+            {
+                break;
+            }
+
+            // 7. Wait for traffic or the next deadline. Sub-millisecond
+            // deadlines are floored at MIN_WAIT — the finish-instant drain
+            // above reconstructs anything that came due in the meantime.
+            let timeout = match wake {
+                Some(at) => clock.until(at).max(MIN_WAIT),
+                None if disconnected => break,
+                None => Duration::from_millis(50),
+            };
+            if disconnected {
+                // The channel reports Disconnected instantly; sleep to the
+                // deadline instead of spinning.
+                std::thread::sleep(timeout.min(Duration::from_millis(50)));
+                continue;
+            }
+            match rx.recv_timeout(timeout) {
+                Ok(batch) => {
+                    let now = clock.now();
+                    self.ingest(batch, now);
+                    // Burst-drain whatever else is already buffered: one
+                    // wake amortizes over every queued batch.
+                    while let Some(batch) = rx.try_recv() {
+                        self.ingest(batch, now);
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => disconnected = true,
+            }
+        }
+        self.flush_done();
+
+        // Displaced RPCs whose redelivery the run ended before: unserved
+        // but never uncounted (the simulator's
+        // `count_undelivered_remainder`).
+        self.fault_stats.undelivered += (self.resends.len() + self.parked.len()) as u64;
+
+        OstFinal {
+            served: self.served,
+            records: self.node.ledger_records(),
+            ticks: self.node.ticks(),
+            overhead: self.node.overhead(),
+            fault_stats: self.fault_stats,
+            shard: self.shard.finish(),
         }
     }
 }
@@ -747,7 +638,27 @@ mod tests {
         }
     }
 
-    /// The satellite regression: a deliberately coarse tick (the loop
+    /// A fault-free, unwired OST thread around `node`, seeded 1.
+    fn thread(cfg: OstConfig, node: OstNode, metrics: &LiveMetrics) -> OstThread {
+        let wiring = OstWiring {
+            index: 0,
+            n_osts: 1,
+            stripe_count: 1,
+        };
+        let payload = Bytes::from(vec![0u8]);
+        OstThread::new(
+            node,
+            metrics.ost_shard(0),
+            cfg,
+            FaultPlan::none(),
+            wiring,
+            Vec::new(),
+            1,
+            payload,
+        )
+    }
+
+    /// A regression test: a deliberately coarse tick (the loop
     /// wakes 10 s late) must not inflate the live latency histogram or
     /// smear the served timeline — completions are stamped at their
     /// emulated finish instants, and the freed slots catch-up dispatch the
@@ -761,49 +672,40 @@ mod tests {
             service_jitter: 0.0,
             rpc_size: 4096,
         };
-        let faults = FaultPlan::none();
         let metrics = LiveMetrics::new(SimDuration::from_millis(100), 1, Vec::new());
-        let mut shard = metrics.ost_shard(0);
-        let mut node = OstNode::unruled(TbfSchedulerConfig::default());
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut seq = 2u64;
-        let mut done: HashMap<u32, u64> = HashMap::new();
+        let mut t = thread(
+            cfg,
+            OstNode::unruled(TbfSchedulerConfig::default()),
+            &metrics,
+        );
+        t.seq = 2;
 
         // Two services already in flight, finishing at 10 and 20 ms…
-        let mut busy: BinaryHeap<Reverse<InService>> = BinaryHeap::new();
-        busy.push(Reverse(InService {
+        t.busy.push(Reverse(InService {
             finish: SimTime::from_millis(10),
             seq: 0,
             rpc: rpc(0, 0),
         }));
-        busy.push(Reverse(InService {
+        t.busy.push(Reverse(InService {
             finish: SimTime::from_millis(20),
             seq: 1,
             rpc: rpc(1, 5),
         }));
         // …and three more queued behind them at t=0.
         for id in 2..5 {
-            node.scheduler.enqueue(rpc(id, 0), SimTime::ZERO);
+            t.node.scheduler.enqueue(rpc(id, 0), SimTime::ZERO);
         }
 
         // The thread wakes a full 10 s late.
-        let served = drain_due(
-            &mut busy,
-            SimTime::from_secs(10),
-            &mut node,
-            &cfg,
-            &faults,
-            0,
-            &mut rng,
-            &mut seq,
-            &mut shard,
-            &mut done,
+        t.drain_due(SimTime::from_secs(10));
+        assert_eq!(
+            t.served, 5,
+            "the whole chain drains: 2 in flight + 3 queued"
         );
-        assert_eq!(served, 5, "the whole chain drains: 2 in flight + 3 queued");
-        assert_eq!(done[&0], 5, "counted completion tokens accumulate");
-        assert!(busy.is_empty() && node.scheduler.pending() == 0);
+        assert_eq!(t.done[&0], 5, "counted completion tokens accumulate");
+        assert!(t.busy.is_empty() && t.node.scheduler.pending() == 0);
 
-        let (folded, _) = metrics.fold(vec![shard.finish()], SimTime::from_secs(10));
+        let (folded, _) = metrics.fold(vec![t.shard.finish()], SimTime::from_secs(10));
         assert_eq!(folded.served_of(JobId(1)), 5);
         let latency = folded.latency(JobId(1));
         assert_eq!(latency.count(), 5);
@@ -837,9 +739,7 @@ mod tests {
             service_jitter: 0.0,
             rpc_size: 4096,
         };
-        let faults = FaultPlan::none();
         let metrics = LiveMetrics::new(SimDuration::from_millis(100), 1, Vec::new());
-        let mut shard = metrics.ost_shard(0);
         // 100 tokens/s for job 1: ~1 dispatch per 10 ms.
         let mut node = OstNode::unruled(TbfSchedulerConfig::default());
         node.scheduler.start_rule(
@@ -849,36 +749,24 @@ mod tests {
             1,
             SimTime::ZERO,
         );
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut seq = 1u64;
-        let mut done: HashMap<u32, u64> = HashMap::new();
-        let mut busy: BinaryHeap<Reverse<InService>> = BinaryHeap::new();
-        busy.push(Reverse(InService {
+        let mut t = thread(cfg, node, &metrics);
+        t.seq = 1;
+        t.busy.push(Reverse(InService {
             finish: SimTime::from_millis(1),
             seq: 0,
             rpc: rpc(0, 0),
         }));
         for id in 1..100 {
-            node.scheduler.enqueue(rpc(id, 0), SimTime::ZERO);
+            t.node.scheduler.enqueue(rpc(id, 0), SimTime::ZERO);
         }
         // Waking 50 ms late must serve roughly rate * elapsed, not the
         // whole backlog.
-        let served = drain_due(
-            &mut busy,
-            SimTime::from_millis(50),
-            &mut node,
-            &cfg,
-            &faults,
-            0,
-            &mut rng,
-            &mut seq,
-            &mut shard,
-            &mut done,
-        );
+        t.drain_due(SimTime::from_millis(50));
         assert!(
-            served <= 20,
-            "rate cap must hold through catch-up dispatch: served {served}"
+            t.served <= 20,
+            "rate cap must hold through catch-up dispatch: served {}",
+            t.served
         );
-        assert!(node.scheduler.pending() > 70);
+        assert!(t.node.scheduler.pending() > 70);
     }
 }

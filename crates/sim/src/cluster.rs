@@ -50,9 +50,9 @@
 //!    per-process id spaces — state that only its owner touches.
 //! 3. **Pure-function fault routing.** Whether an OST is inside its
 //!    crash window is a function of `(ost, t)` on the immutable fault
-//!    plan, so a *sender* can compute the destination shard of a message
-//!    at push time and the receiver re-derives the same answer at
-//!    delivery time, with no shared mutable "crashed" flag.
+//!    plan ([`Routing`]), so a *sender* can compute the destination shard
+//!    of a message at push time and the receiver re-derives the same
+//!    answer at delivery time, with no shared mutable "crashed" flag.
 //!
 //! Same-timestamp coalescing (reply batches, duplicate thread wakes) may
 //! group events differently per shard count — the queue only coalesces
@@ -63,23 +63,19 @@
 //! part of the digest) can differ.
 
 use crate::client::ProcessState;
-use crate::controller_driver::ControllerOverhead;
 use crate::engine::EventQueue;
-use crate::faults::FaultPlan;
-use crate::metrics::Metrics;
 use crate::network::{draw_latency, min_latency};
 use crate::ost::OstState;
-use crate::policy::Policy;
 use crate::pool::{ShardHeap, SpinBarrier};
 use adaptbf_model::config::paper;
 use adaptbf_model::{
     ClientId, JobId, NetworkConfig, OstConfig, ProcId, Rpc, SimDuration, SimTime,
     TbfSchedulerConfig,
 };
-use adaptbf_node::OstNode;
+use adaptbf_node::{ControllerOverhead, Metrics, OstNode, Policy, Route, Routing};
 use adaptbf_tbf::SchedDecision;
 use adaptbf_workload::trace::{Trace, TraceMeta, TraceRecord};
-use adaptbf_workload::Scenario;
+use adaptbf_workload::{FaultPlan, Scenario};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -282,6 +278,11 @@ struct Shared {
     stripe_count: usize,
     n_osts: usize,
     faults: FaultPlan,
+    /// Crash-window routing over this wiring. The crash and recovery
+    /// events carry the smallest keys at their instants, so at
+    /// `t == from` every same-instant event already sees the window open,
+    /// and at recovery already sees it closed.
+    routing: Routing,
     /// `!faults.is_none()`, cached so fault-free runs pay a single cached
     /// bool test instead of walking the plan on every hot-path event.
     faults_active: bool,
@@ -305,61 +306,17 @@ struct Shared {
 }
 
 impl Shared {
-    /// Whether `ost` is inside its crash window at `at` — a pure function
-    /// of the fault plan, so senders and receivers agree with no shared
-    /// flag. Equivalent to the old event-driven flag: the crash/recovery
-    /// events carry the smallest possible keys at their instants, so at
-    /// `t == from` every same-instant event already sees the window open,
-    /// and at recovery already sees it closed.
-    #[inline]
-    fn crashed_at(&self, ost: usize, at: SimTime) -> bool {
-        if !self.faults_active {
-            return false;
-        }
-        match self.faults.ost_crash {
-            Some(c) => c.ost == ost && at >= c.from && at < c.recovery_at(),
-            None => false,
-        }
-    }
-
-    /// The surviving OST that takes over a displaced RPC: the next
-    /// non-crashed member of the issuing process's *stripe set*, in
-    /// stripe order after `ost`. The set is derived from the RPC's
-    /// process id exactly as the issue path places it (base
-    /// `proc % n_osts`, width `stripe_count`), so record and replay
-    /// agree without any client state. An RPC addressed outside its
-    /// derivable stripe set (hand-authored traces) falls back to plain
-    /// ring order over all OSTs. For fully-striped wirings
-    /// (`stripe_count == n_osts`) both walks visit the same candidates
-    /// in the same order.
-    fn surviving_ost(&self, ost: usize, rpc: &Rpc, at: SimTime) -> Option<usize> {
-        let n = self.n_osts;
-        let width = self.stripe_count;
-        let base = rpc.proc_id.raw() as usize % n;
-        let offset = (ost + n - base) % n;
-        if offset < width {
-            (1..width)
-                .map(|k| (base + (offset + k) % width) % n)
-                .find(|&candidate| !self.crashed_at(candidate, at))
-        } else {
-            (1..n)
-                .map(|k| (ost + k) % n)
-                .find(|&candidate| !self.crashed_at(candidate, at))
-        }
-    }
-
     /// The shard that must handle a (re)delivery addressed to `ost` at
     /// `at`: the survivor's shard when the crash window re-routes, the
     /// addressed OST's own shard when the RPC will park there. Senders
     /// call this at push time; the handling shard re-derives the identical
     /// route at delivery time (both are pure in `(ost, at, rpc)`).
+    #[inline]
     fn dest_shard(&self, ost: usize, at: SimTime, rpc: &Rpc) -> usize {
-        if self.crashed_at(ost, at) {
-            if let Some(survivor) = self.surviving_ost(ost, rpc, at) {
-                return self.ost_shard[survivor] as usize;
-            }
+        match self.routing.route(ost, rpc, at) {
+            Route::Reroute(survivor) => self.ost_shard[survivor] as usize,
+            Route::Local | Route::Park => self.ost_shard[ost] as usize,
         }
-        self.ost_shard[ost] as usize
     }
 
     /// Canonical key lane of an OST.
@@ -389,8 +346,6 @@ struct Shard {
     /// sync with the recording.
     reply_rngs: Vec<SmallRng>,
     epochs: Vec<u32>,
-    /// Control cycles attempted per OST (including stalled ones).
-    cycles: Vec<u64>,
     /// Per-OST-lane key sequence counters.
     ost_seq: Vec<u64>,
     /// Global ids of the processes this shard owns (ascending).
@@ -411,8 +366,6 @@ struct Shard {
     recorder: Option<Vec<(u64, TraceRecord)>>,
     /// Scratch buffer for issued RPCs (reused across every `try_issue`).
     issue_scratch: Vec<Rpc>,
-    /// Scratch for the idle-job ledger walk (reused across control ticks).
-    ledger_scratch: Vec<(JobId, i64)>,
     /// Per-destination-shard buffers of cross-shard events produced this
     /// epoch.
     outbox: Vec<Vec<Msg>>,
@@ -575,11 +528,10 @@ impl Shard {
                     // timeout, and floors the resend one network hop out
                     // (a resend crosses the wire, and cross-shard delivery
                     // requires the lookahead).
-                    self.fault_stats.lost_in_service += 1;
-                    self.fault_stats.resent += 1;
+                    self.fault_stats.count_lost_in_service(1);
                     let crash = sh
-                        .faults
-                        .ost_crash
+                        .routing
+                        .crash()
                         .expect("stale epoch implies a crash window");
                     let at = (crash.from + crash.resend_after).max(now + sh.lookahead);
                     let key = self.ost_key(sh, l);
@@ -658,7 +610,17 @@ impl Shard {
                 }
             }
             Event::ControllerTick { ost } => {
-                self.controller_tick(sh, ost, now);
+                let l = sh.ost_local[ost] as usize;
+                let crashed = sh.routing.crashed_at(ost, now);
+                let ticked =
+                    self.osts[l]
+                        .node
+                        .control_cycle(now, &sh.faults, crashed, &mut self.metrics);
+                self.schedule_next_tick(sh, l, now);
+                if ticked {
+                    // Rates changed: throttled queues may now be servable.
+                    self.dispatch(sh, l, now);
+                }
             }
             Event::OstCrash { ost } => {
                 // The OST dies: thread pool, token buckets, rules and job
@@ -667,15 +629,10 @@ impl Shard {
                 // once their RPC timeout expires.
                 let l = sh.ost_local[ost] as usize;
                 self.epochs[l] += 1;
-                let mut lost = self.osts[l].crash_reset();
-                // Clients resend in id order — per-process issue order,
-                // processes ascending — regardless of how the dead
-                // scheduler had them queued.
-                lost.sort_unstable_by_key(|r| r.id.raw());
-                self.fault_stats.resent += lost.len() as u64;
+                let lost = self.osts[l].crash(&mut self.fault_stats);
                 let crash = sh
-                    .faults
-                    .ost_crash
+                    .routing
+                    .crash()
                     .expect("crash event implies a crash window");
                 let resend_at = (now + crash.resend_after).max(now + sh.lookahead);
                 for rpc in lost {
@@ -713,43 +670,36 @@ impl Shard {
     /// the shard owning the *final* destination (park target = the
     /// addressed OST), so the re-derived route always lands locally.
     fn deliver(&mut self, sh: &Shared, ost: usize, rpc: Rpc, now: SimTime, first: bool) {
-        let target = if sh.crashed_at(ost, now) {
-            match sh.surviving_ost(ost, &rpc, now) {
-                Some(target) => {
-                    if first {
-                        self.fault_stats.rerouted += 1;
-                    }
-                    target
-                }
-                None => {
-                    if first {
-                        self.fault_stats.parked += 1;
-                    }
-                    let recover = sh
-                        .faults
-                        .ost_crash
-                        .expect("crash window is open")
-                        .recovery_at();
-                    // The park target is the addressed OST itself, owned
-                    // by this shard — and at recovery it is healthy, so
-                    // the redelivery stays local.
-                    let l = sh.ost_local[ost] as usize;
-                    let key = self.ost_key(sh, l);
-                    self.queue
-                        .push_keyed(recover.max(now), key, Event::FaultResend { ost, rpc });
-                    return;
-                }
-            }
+        let route = if first {
+            sh.routing
+                .route_arrival(ost, &rpc, now, &mut self.fault_stats)
         } else {
-            ost
+            sh.routing.route(ost, &rpc, now)
+        };
+        let target = match route {
+            Route::Local => ost,
+            Route::Reroute(target) => target,
+            Route::Park => {
+                let recover = sh.routing.crash().expect("crash window is open");
+                // The park target is the addressed OST itself, owned by
+                // this shard — and at recovery it is healthy, so the
+                // redelivery stays local.
+                let l = sh.ost_local[ost] as usize;
+                let key = self.ost_key(sh, l);
+                self.queue.push_keyed(
+                    recover.recovery_at().max(now),
+                    key,
+                    Event::FaultResend { ost, rpc },
+                );
+                return;
+            }
         };
         debug_assert_eq!(
             sh.ost_shard[target] as usize, self.id,
             "sender misrouted an arrival"
         );
         let l = sh.ost_local[target] as usize;
-        self.osts[l].node.job_stats.record_arrival(rpc.job);
-        self.osts[l].node.scheduler.enqueue(rpc, now);
+        self.osts[l].node.admit(rpc, now);
         self.dispatch(sh, l, now);
     }
 
@@ -793,7 +743,7 @@ impl Shard {
     /// scheduler has nothing servable.
     fn dispatch(&mut self, sh: &Shared, l: usize, now: SimTime) {
         let ost = self.ost_ids[l];
-        if sh.crashed_at(ost, now) {
+        if sh.routing.crashed_at(ost, now) {
             return;
         }
         while self.osts[l].has_idle_thread() {
@@ -828,57 +778,6 @@ impl Shard {
                 SchedDecision::Idle => break,
             }
         }
-    }
-
-    /// One AdapTBF control cycle on one OST (fault-aware).
-    fn controller_tick(&mut self, sh: &Shared, ost: usize, now: SimTime) {
-        let l = sh.ost_local[ost] as usize;
-        let cycle = self.cycles[l];
-        self.cycles[l] += 1;
-        if sh.crashed_at(ost, now) {
-            // The whole OSS is down, controller included; ticks resume
-            // (and rules are recreated) after recovery.
-            self.schedule_next_tick(sh, l, now);
-            return;
-        }
-        if sh.faults_active && sh.faults.cycle_stalled(cycle) {
-            // Hung daemon: no collection, no allocation, no rule changes;
-            // stats keep accumulating for the next healthy cycle.
-            self.schedule_next_tick(sh, l, now);
-            return;
-        }
-        if sh.faults_active && sh.faults.stats_lost(cycle) {
-            // Failed stats read: the controller sees an empty active set.
-            self.osts[l].node.job_stats.clear();
-        }
-        let Some(outcome) = self.osts[l].node.tick(now) else {
-            return;
-        };
-        for jt in &outcome.trace.jobs {
-            self.metrics
-                .on_allocation(jt.job, now, jt.record_after, jt.after_recompensation);
-        }
-        // Records of idle jobs persist; keep their gauge lines continuous.
-        let mut ledger = std::mem::take(&mut self.ledger_scratch);
-        ledger.clear();
-        ledger.extend(
-            self.osts[l]
-                .node
-                .controller()
-                .expect("tick produced an outcome")
-                .ledger()
-                .iter()
-                .filter(|(job, _)| outcome.trace.job(*job).is_none())
-                .map(|(job, e)| (job, e.record)),
-        );
-        for &(job, record) in &ledger {
-            self.metrics.set_record(job, now, record as f64);
-        }
-        self.ledger_scratch = ledger;
-        // Next cycle.
-        self.schedule_next_tick(sh, l, now);
-        // Rates changed: previously throttled queues may now be servable.
-        self.dispatch(sh, l, now);
     }
 
     fn schedule_next_tick(&mut self, sh: &Shared, l: usize, now: SimTime) {
@@ -1236,18 +1135,11 @@ impl Cluster {
         let (shared, mut shards) = self.partition(n_shards, lookahead, emits);
 
         let workers = crate::pool::worker_count();
-        let mut epochs = 0;
-        if shards.len() == 1 {
-            shards[0].drain(&shared);
-        } else if !shared.emits.iter().any(|&e| e) {
-            let mut all: Vec<&mut Shard> = shards.iter_mut().collect();
-            run_free(&shared, &mut all, workers);
+        let epochs = if windows == WindowMode::Fixed && shared.emits.iter().any(|&e| e) {
+            run_fixed(&shared, &mut shards, workers)
         } else {
-            epochs = match windows {
-                WindowMode::Adaptive => run_adaptive(&shared, &mut shards, workers),
-                WindowMode::Fixed => run_fixed(&shared, &mut shards, workers),
-            };
-        }
+            run_adaptive(&shared, &mut shards, workers)
+        };
         if shared.faults_active {
             for shard in &mut shards {
                 shard.count_undelivered_remainder();
@@ -1297,6 +1189,7 @@ impl Cluster {
             stripe_count: self.stripe_count,
             n_osts,
             faults: self.faults,
+            routing: Routing::new(&self.faults, n_osts, self.stripe_count),
             faults_active: !self.faults.is_none(),
             replay: self.replay,
             lookahead,
@@ -1352,7 +1245,6 @@ impl Cluster {
                         .map(|&o| SmallRng::seed_from_u64(seed ^ (0x2E70 << 16) ^ o as u64))
                         .collect(),
                     epochs: vec![0; ost_ids.len()],
-                    cycles: vec![0; ost_ids.len()],
                     ost_seq: vec![0; ost_ids.len()],
                     procs: proc_ids
                         .iter()
@@ -1371,7 +1263,6 @@ impl Cluster {
                     loop_stats: LoopStats::default(),
                     recorder: self.record.then(Vec::new),
                     issue_scratch: Vec::with_capacity(32),
-                    ledger_scratch: Vec::new(),
                     outbox: (0..n_shards).map(|_| Vec::new()).collect(),
                     min_shipped_ns: u64::MAX,
                 }
@@ -1450,31 +1341,10 @@ fn compute_emits(
     emits
 }
 
-/// Drain fully independent shards, optionally in parallel. Any worker
-/// split yields the same result: shards share nothing.
-fn run_free(shared: &Shared, shards: &mut [&mut Shard], workers: usize) {
-    let workers = workers.min(shards.len()).max(1);
-    if workers <= 1 {
-        for shard in shards.iter_mut() {
-            shard.drain(shared);
-        }
-        return;
-    }
-    let chunk = shards.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for group in shards.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for shard in group {
-                    shard.drain(shared);
-                }
-            });
-        }
-    });
-}
-
-/// The adaptive-window protocol (see the module docs). Splits the shards
-/// by the emits analysis — the non-emitting ones drain independently —
-/// and runs epochs over the emitting rest:
+/// The adaptive-window protocol (see the module docs) — the one driver for
+/// every run but a coupled [`WindowMode::Fixed`] one. Splits the shards by
+/// the emits analysis — the non-emitting ones drain independently — and
+/// runs epochs over the emitting rest, if any:
 ///
 /// ```text
 /// loop:
@@ -1516,12 +1386,11 @@ fn run_adaptive(shared: &Shared, shards: &mut [Shard], workers: usize) -> u64 {
     let n_shards = shards.len();
     let (mut coupled, mut free): (Vec<&mut Shard>, Vec<&mut Shard>) =
         shards.iter_mut().partition(|s| shared.emits[s.id]);
-    debug_assert!(!coupled.is_empty(), "all-independent runs take run_free");
     let mut local_of = vec![usize::MAX; n_shards];
     for (i, shard) in coupled.iter().enumerate() {
         local_of[shard.id] = i;
     }
-    if workers <= 1 {
+    if workers.min(coupled.len().max(free.len())) <= 1 {
         for shard in free.iter_mut() {
             shard.drain(shared);
         }
@@ -1561,6 +1430,9 @@ fn run_one(
 /// shards are never touched, not even for a queue peek.
 fn run_epochs_seq(shared: &Shared, coupled: &mut [&mut Shard], local_of: &[usize]) -> u64 {
     let m = coupled.len();
+    if m == 0 {
+        return 0;
+    }
     let end_ns = shared.end.as_nanos();
     let l = shared.lookahead.as_nanos();
     // Inboxes are indexed by *global* shard id (flushes address them
@@ -1626,10 +1498,11 @@ fn run_epochs_seq(shared: &Shared, coupled: &mut [&mut Shard], local_of: &[usize
 }
 
 /// Threaded adaptive driver: one **persistent pool** — spawned once per
-/// run — first drains this worker's share of the independent shards, then
-/// runs the epoch protocol over its share of the emitting shards,
-/// synchronized by a [`SpinBarrier`] (two waits per epoch, no parking, no
-/// re-spawn).
+/// run, sized by the larger of the emitting and independent sets — where
+/// every worker first drains its share of the independent shards, then
+/// the workers holding emitting shards run the epoch protocol over their
+/// share, synchronized by a [`SpinBarrier`] (two waits per epoch, no
+/// parking, no re-spawn).
 fn run_pool(
     shared: &Shared,
     free: &mut [&mut Shard],
@@ -1638,15 +1511,15 @@ fn run_pool(
     workers: usize,
 ) -> u64 {
     let m = coupled.len();
-    let workers = workers.min(m).max(1);
-    let chunk = m.div_ceil(workers);
-    let spawned = m.div_ceil(chunk);
+    let spawned = workers.min(m.max(free.len())).max(1);
+    let chunk = m.div_ceil(spawned).max(1);
     let free_chunk = free.len().div_ceil(spawned).max(1);
     // All shared state is indexed by the shard's *local* (coupled) index.
     let published: Vec<AtomicU64> = (0..m).map(|_| AtomicU64::new(u64::MAX)).collect();
     let dirty: Vec<AtomicBool> = (0..m).map(|_| AtomicBool::new(false)).collect();
     let inboxes: Vec<Mutex<Vec<Msg>>> = (0..m).map(|_| Mutex::new(Vec::new())).collect();
-    let barrier = SpinBarrier::new(spawned);
+    // Only the workers holding emitting shards meet at the barrier.
+    let barrier = SpinBarrier::new(m.div_ceil(chunk));
     let epochs = AtomicU64::new(0);
     let (published, dirty, inboxes, barrier, epochs) =
         (&published, &dirty, &inboxes, &barrier, &epochs);
@@ -1655,8 +1528,9 @@ fn run_pool(
         let mut rest = coupled;
         let mut base = 0usize;
         for _ in 0..spawned {
-            let (fg, fr) =
-                std::mem::take(&mut free_rest).split_at_mut(free_chunk.min(free_rest.len()));
+            // Split lengths are read before `take` empties the slices.
+            let take_free = free_chunk.min(free_rest.len());
+            let (fg, fr) = std::mem::take(&mut free_rest).split_at_mut(take_free);
             free_rest = fr;
             let take = chunk.min(rest.len());
             let (group, cr) = std::mem::take(&mut rest).split_at_mut(take);
@@ -1696,6 +1570,9 @@ fn pool_worker(
     // serves both phases; no barrier needed, the shards share nothing.
     for shard in free.iter_mut() {
         shard.drain(shared);
+    }
+    if mine.is_empty() {
+        return;
     }
     let mut ran: Vec<bool> = vec![true; mine.len()]; // force the initial publish
     let mut scratch: Vec<Msg> = Vec::new();
@@ -1902,11 +1779,7 @@ fn merge_outputs(
     let mut records: Vec<(u64, TraceRecord)> = Vec::new();
     for mut shard in shards {
         metrics.absorb(&shard.metrics);
-        fault_stats.resent += shard.fault_stats.resent;
-        fault_stats.lost_in_service += shard.fault_stats.lost_in_service;
-        fault_stats.rerouted += shard.fault_stats.rerouted;
-        fault_stats.parked += shard.fault_stats.parked;
-        fault_stats.undelivered += shard.fault_stats.undelivered;
+        fault_stats.absorb(&shard.fault_stats);
         loop_stats.absorb(&shard.loop_stats);
         for (l, ost) in shard.osts.iter().enumerate() {
             if let Some(o) = ost.node.overhead() {
@@ -1917,6 +1790,10 @@ fn merge_outputs(
             records.append(&mut recs);
         }
     }
+    debug_assert!(
+        fault_stats.partition_holds(),
+        "fault accounting leaked: {fault_stats:?}"
+    );
     for &(job, total) in released {
         metrics.set_released(job, total);
     }
@@ -2061,7 +1938,7 @@ mod tests {
 
     fn crash_faults(ost: usize, from_ms: u64, for_ms: u64) -> FaultPlan {
         FaultPlan {
-            ost_crash: Some(crate::faults::CrashSpec {
+            ost_crash: Some(adaptbf_workload::CrashSpec {
                 ost,
                 from: SimTime::from_millis(from_ms),
                 for_: SimDuration::from_millis(for_ms),
@@ -2121,7 +1998,7 @@ mod tests {
         // must not vanish from the books — `undelivered` owns them.
         let cfg = ClusterConfig {
             faults: FaultPlan {
-                ost_crash: Some(crate::faults::CrashSpec {
+                ost_crash: Some(adaptbf_workload::CrashSpec {
                     ost: 0,
                     from: SimTime::from_millis(100),
                     for_: SimDuration::from_millis(200),
@@ -2196,7 +2073,7 @@ mod tests {
             n_osts: 2,
             stripe_count: 2,
             faults: FaultPlan {
-                churn: Some(crate::faults::ChurnSpec {
+                churn: Some(adaptbf_workload::ChurnSpec {
                     every: SimDuration::from_millis(300),
                     offline: SimDuration::from_millis(100),
                     stride: 2,
@@ -2222,7 +2099,7 @@ mod tests {
     fn churn_pauses_issuance_but_serves_everything() {
         let cfg = ClusterConfig {
             faults: FaultPlan {
-                churn: Some(crate::faults::ChurnSpec {
+                churn: Some(adaptbf_workload::ChurnSpec {
                     every: SimDuration::from_millis(600),
                     offline: SimDuration::from_millis(200),
                     stride: 2,
@@ -2642,6 +2519,48 @@ mod tests {
             "drivers must agree on every counter"
         );
         assert!(seq.loop_stats.epochs > 0, "this wiring couples");
+    }
+
+    #[test]
+    fn pool_drains_independent_shards_beside_coupled_ones() {
+        // 8 OSTs in 4 shards of 2, stripe 2, three processes: process 1's
+        // stripe {1, 2} couples shards 0 and 1, while shards 2 and 3 hold
+        // no process but still run their OSTs' controller ticks. The pool
+        // must drain those independent shards as well as step the epochs.
+        let scenario = Scenario::new(
+            "mixed",
+            "coupled and independent shards in one run",
+            vec![JobSpec::uniform(
+                JobId(1),
+                1,
+                3,
+                ProcessSpec::continuous(50),
+            )],
+            SimDuration::from_secs(2),
+        );
+        let cfg = ClusterConfig {
+            n_osts: 8,
+            stripe_count: 2,
+            ..Default::default()
+        };
+        let run_at = |grid_threads: usize| {
+            crate::RunGrid::with_threads(grid_threads)
+                .run(vec![(), ()], |_| {
+                    Cluster::build_with(&scenario, Policy::adaptbf_default(), 31, cfg)
+                        .shards(4)
+                        .run()
+                })
+                .pop()
+                .expect("two runs")
+        };
+        let seq = run_at(2);
+        let pooled = run_at(8);
+        assert_same_run(&seq, &pooled, "mixed pool vs sequential");
+        assert_eq!(seq.loop_stats, pooled.loop_stats);
+        let ticks = |o: &RawRunOutput| o.overheads.iter().map(|c| c.ticks).collect::<Vec<_>>();
+        assert_eq!(ticks(&seq), ticks(&pooled), "every OST ticked in both");
+        assert!(ticks(&pooled).iter().all(|&t| t > 0));
+        assert!(seq.loop_stats.epochs > 0, "shards 0 and 1 couple");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Figures 4/6/8.
 
 use crate::cluster::{Cluster, ClusterConfig, WindowMode};
-use crate::policy::Policy;
 use adaptbf_model::JobId;
+use adaptbf_node::Policy;
 use adaptbf_workload::Scenario;
 
 pub use adaptbf_node::{JobOutcome, RunReport};
@@ -63,7 +63,7 @@ impl Experiment {
 
     /// Inject a deterministic fault schedule (controller stalls, stats
     /// loss, device degradation).
-    pub fn faults(mut self, plan: crate::faults::FaultPlan) -> Self {
+    pub fn faults(mut self, plan: adaptbf_workload::FaultPlan) -> Self {
         self.cluster.faults = plan;
         self
     }

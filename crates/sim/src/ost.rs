@@ -14,7 +14,7 @@
 //! assembly the live runtime moves into each OST thread.
 
 use adaptbf_model::{JobSlots, OstConfig, Rpc, SimDuration, SimTime};
-use adaptbf_node::OstNode;
+use adaptbf_node::{FaultStats, OstNode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -128,16 +128,14 @@ impl OstState {
         self.begin_service_degraded(rpc, 1.0)
     }
 
-    /// The OST crashes: its I/O threads die (whatever they were serving
-    /// is lost) and the control plane resets — the scheduler (rules, token
-    /// buckets, queues) is replaced with a factory-fresh one, `job_stats`
-    /// is wiped and the rule daemon forgets its rule ids, while the
-    /// lending ledger survives (see [`OstNode::crash_reset`]). The drained
-    /// backlog (ruled queues in job order, then fallback) is returned so
-    /// the embedder can model client resends. The service-time RNG is
-    /// deliberately kept: a reboot does not reseed the device.
-    pub fn crash_reset(&mut self) -> Vec<Rpc> {
-        let lost = self.node.crash_reset();
+    /// The OST crashes: its I/O threads die and the control plane resets
+    /// (see [`OstNode::crash`]). The drained backlog comes back in resend
+    /// order, counted `resent` in `stats`; the RPCs the threads held are
+    /// found lost later, when their stale completions arrive. The
+    /// service-time RNG is deliberately kept: a reboot does not reseed
+    /// the device.
+    pub fn crash(&mut self, stats: &mut FaultStats) -> Vec<Rpc> {
+        let lost = self.node.crash(Vec::new(), stats);
         self.busy_threads = 0;
         self.in_service_counts.fill(0);
         self.distinct_in_service = 0;
@@ -227,8 +225,10 @@ mod tests {
         o.node.job_stats.record_arrival(JobId(1));
         let _ = o.begin_service(&rpc(2));
         assert_eq!(o.busy_threads(), 1);
-        let lost = o.crash_reset();
+        let mut stats = FaultStats::default();
+        let lost = o.crash(&mut stats);
         assert_eq!(lost.len(), 4, "whole backlog drained");
+        assert_eq!(stats.resent, 4);
         assert_eq!(o.busy_threads(), 0, "thread pool reset");
         assert!(o.has_idle_thread());
         assert_eq!(o.node.scheduler.pending(), 0);
@@ -242,7 +242,7 @@ mod tests {
         let mut o2 = ost_with(cfg);
         let s1 = o2.begin_service(&rpc(1)).as_secs_f64();
         let _ = o2.begin_service(&rpc(2));
-        o2.crash_reset();
+        o2.crash(&mut FaultStats::default());
         let s_after = o2.begin_service(&rpc(3)).as_secs_f64();
         assert_eq!(s_after, s1, "occupancy state cleared by the crash");
     }

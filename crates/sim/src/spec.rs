@@ -9,9 +9,9 @@
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::experiment::RunReport;
-use crate::policy::Policy;
 use adaptbf_model::config::paper;
 use adaptbf_model::{AdapTbfConfig, JobId, SimDuration};
+use adaptbf_node::Policy;
 use adaptbf_workload::dsl::{DslError, ScenarioFile, TuningSpec};
 use adaptbf_workload::trace::Trace;
 use adaptbf_workload::Scenario;

@@ -5,7 +5,7 @@
 
 use adaptbf_model::{JobId, LatencyHistogram, PerJobSeries, SimDuration, SimTime};
 use adaptbf_sim::cluster::{Cluster, ClusterConfig};
-use adaptbf_sim::metrics::Metrics;
+use adaptbf_sim::Metrics;
 use adaptbf_sim::{
     replay_cluster_config, ChurnSpec, CrashSpec, DegradeSpec, FaultPlan, Policy, StallSpec,
 };

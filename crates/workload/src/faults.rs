@@ -10,8 +10,8 @@
 //! All faults are deterministic (cycle-, time- or process-indexed), so a
 //! faulty run is exactly as reproducible as a healthy one, and a trace
 //! recorded under faults replays byte-identically (the plan rides in the
-//! trace header). The simulator consumes the plan through
-//! `adaptbf_sim::faults`, which re-exports everything here.
+//! trace header). Both executors consume the plan directly; crash-window
+//! routing and the fault-aware control cycle live in `adaptbf-node`.
 
 use adaptbf_model::{SimDuration, SimTime};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
